@@ -108,57 +108,6 @@ mod tests {
         assert_eq!(recs[0].identity(), direct.identity());
     }
 
-    /// Satellite of the cooperative-scheduler work: for every registry
-    /// workload, a cooperative virtual run must be *byte-identical* to
-    /// the thread-backed reference engine — same records (all fields,
-    /// full f64 precision via the round-trippable Debug form) and the
-    /// same per-rank final virtual clock vectors. Both engines drain
-    /// the identical FIFO run queue, so any divergence is a scheduler
-    /// bug, not noise.
-    #[test]
-    fn cooperative_virtual_runs_match_threaded_engine_exactly() {
-        let m = machines::systems::dell_xeon();
-
-        for c in Component::ALL {
-            let p = 4;
-            let cfg = SuiteConfig::small(p);
-            let (coop_recs, coop_clocks) =
-                hpcc::virtual_run::run_virtual_components_clocked(&m, p, &cfg, &[c], true);
-            let (thr_recs, thr_clocks) =
-                hpcc::virtual_run::run_virtual_components_clocked(&m, p, &cfg, &[c], false);
-            assert_eq!(
-                format!("{coop_recs:?}"),
-                format!("{thr_recs:?}"),
-                "{}: records diverge between engines",
-                c.name()
-            );
-            assert_eq!(
-                coop_clocks,
-                thr_clocks,
-                "{}: per-rank virtual clocks diverge between engines",
-                c.name()
-            );
-        }
-
-        for b in imb::Benchmark::ALL {
-            let p = b.min_procs().max(4);
-            let runner = Runner::fixed(2);
-            let (coop_rec, coop_clocks) =
-                imb::virtual_run::run_virtual_clocked(&m, b, p, 4096, &runner, true);
-            let (thr_rec, thr_clocks) =
-                imb::virtual_run::run_virtual_clocked(&m, b, p, 4096, &runner, false);
-            assert_eq!(
-                format!("{coop_rec:?}"),
-                format!("{thr_rec:?}"),
-                "{b}: records diverge between engines"
-            );
-            assert_eq!(
-                coop_clocks, thr_clocks,
-                "{b}: per-rank virtual clocks diverge between engines"
-            );
-        }
-    }
-
     #[test]
     fn simulated_hpcc_plan_reproduces_the_summary() {
         let reg = registry();

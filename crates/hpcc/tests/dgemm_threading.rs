@@ -21,7 +21,7 @@ fn fill(len: usize, seed: u64) -> Vec<f64> {
 
 /// Runs `gemm_update` under an ambient pool of `threads` workers.
 #[allow(clippy::too_many_arguments)]
-fn run_with_threads(
+fn dgemm_on_threads(
     threads: usize,
     m: usize,
     n: usize,
@@ -66,17 +66,17 @@ fn both_split_paths_match_serial_bitwise() {
     let c0 = fill(m * n, 33);
 
     // Row-major everywhere: M-split.
-    let serial_rm = run_with_threads(1, m, n, k, -1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
+    let serial_rm = dgemm_on_threads(1, m, n, k, -1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
     // Column-major everywhere (the HPL trailing-update shape): N-split.
-    let serial_cm = run_with_threads(1, m, n, k, -1.0, &a, (1, m), &b, (1, k), &c0, (1, m));
+    let serial_cm = dgemm_on_threads(1, m, n, k, -1.0, &a, (1, m), &b, (1, k), &c0, (1, m));
 
     for threads in [2, 3, 4, 7, 64] {
-        let rm = run_with_threads(threads, m, n, k, -1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
+        let rm = dgemm_on_threads(threads, m, n, k, -1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
         assert_eq!(
             rm, serial_rm,
             "row-major M-split drifted at {threads} threads"
         );
-        let cm = run_with_threads(threads, m, n, k, -1.0, &a, (1, m), &b, (1, k), &c0, (1, m));
+        let cm = dgemm_on_threads(threads, m, n, k, -1.0, &a, (1, m), &b, (1, k), &c0, (1, m));
         assert_eq!(
             cm, serial_cm,
             "column-major N-split drifted at {threads} threads"
@@ -92,8 +92,8 @@ fn tiny_shapes_are_stable_under_pool() {
     let a = fill(m * k, 5);
     let b = fill(k * n, 6);
     let c0 = fill(m * n, 7);
-    let serial = run_with_threads(1, m, n, k, 1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
-    let pooled = run_with_threads(4, m, n, k, 1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
+    let serial = dgemm_on_threads(1, m, n, k, 1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
+    let pooled = dgemm_on_threads(4, m, n, k, 1.0, &a, (k, 1), &b, (n, 1), &c0, (n, 1));
     assert_eq!(pooled, serial);
 }
 
@@ -119,8 +119,8 @@ proptest! {
         let c0 = fill(m * n, seed ^ 0xC);
         let (sa, sb) = ((k, 1), (n, 1));
         let sc = if row_major_c { (n, 1) } else { (1, m) };
-        let serial = run_with_threads(1, m, n, k, alpha, &a, sa, &b, sb, &c0, sc);
-        let pooled = run_with_threads(threads, m, n, k, alpha, &a, sa, &b, sb, &c0, sc);
+        let serial = dgemm_on_threads(1, m, n, k, alpha, &a, sa, &b, sb, &c0, sc);
+        let pooled = dgemm_on_threads(threads, m, n, k, alpha, &a, sa, &b, sb, &c0, sc);
         prop_assert_eq!(pooled, serial);
     }
 }

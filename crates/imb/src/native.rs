@@ -50,22 +50,6 @@ pub fn run_on_with(comm: &Comm, benchmark: Benchmark, bytes: u64, runner: &Runne
     record(benchmark, Mode::Native, "host", comm.size(), bytes, stats)
 }
 
-/// Builds the preallocated state for one benchmark (shared with the
-/// virtual-execution mode).
-pub(crate) fn bench_state(comm: &Comm, benchmark: Benchmark, bytes: u64) -> BenchState {
-    BenchState::new(comm, benchmark, bytes)
-}
-
-/// Runs one iteration of a benchmark (shared with virtual execution).
-pub(crate) fn bench_iterate(state: &mut BenchState, comm: &Comm, iter: usize) {
-    state.iterate(comm, iter);
-}
-
-/// Awaitable mirror of [`bench_iterate`], for cooperative rank tasks.
-pub(crate) async fn bench_iterate_async(state: &mut BenchState, comm: &Comm, iter: usize) {
-    state.iterate_async(comm, iter).await;
-}
-
 /// Preallocated buffers + the per-iteration body for one benchmark.
 pub(crate) struct BenchState {
     benchmark: Benchmark,
@@ -78,7 +62,7 @@ pub(crate) struct BenchState {
 }
 
 impl BenchState {
-    fn new(comm: &Comm, benchmark: Benchmark, bytes: u64) -> BenchState {
+    pub(crate) fn new(comm: &Comm, benchmark: Benchmark, bytes: u64) -> BenchState {
         let n = comm.size();
         let bytes = bytes as usize;
         let words = bytes / 8;
@@ -151,7 +135,7 @@ impl BenchState {
         mp::block_on(self.iterate_async(comm, iter));
     }
 
-    async fn iterate_async(&mut self, comm: &Comm, iter: usize) {
+    pub(crate) async fn iterate_async(&mut self, comm: &Comm, iter: usize) {
         let n = comm.size();
         let me = comm.rank();
         const TAG: mp::Tag = 40;

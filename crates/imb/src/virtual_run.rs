@@ -2,9 +2,9 @@
 //! (same per-iteration bodies as [`crate::native`]) running on a
 //! modelled machine via [`mp::run_virtual_coop`], timed by virtual
 //! clocks. Each rank is a resumable cooperative task, not an OS
-//! thread, so virtual worlds scale to tens of thousands of ranks; the
-//! thread-backed engine survives as [`run_virtual_with_threads`] and
-//! the parity tests assert both produce byte-identical records.
+//! thread, so virtual worlds scale to tens of thousands of ranks. The
+//! workspace's golden-record test pins every benchmark's record and
+//! per-rank clocks byte for byte.
 //!
 //! This is the third mode beside native timing and schedule-replay
 //! simulation; integration tests cross-validate it against
@@ -15,6 +15,7 @@ use harness::{Mode, Record, Runner, Stats};
 use machines::{Machine, SharedClusterNet};
 
 use crate::benchmark::{record, Benchmark};
+use crate::native::BenchState;
 
 /// Runs `benchmark` on `procs` ranks of the modelled `machine` with an
 /// explicit iteration count.
@@ -42,44 +43,18 @@ pub fn run_virtual_with(
     bytes: u64,
     runner: &Runner,
 ) -> Record {
-    run_virtual_engine(machine, benchmark, procs, bytes, runner, true).0
+    run_virtual_clocked(machine, benchmark, procs, bytes, runner).0
 }
 
-/// Thread-backed variant of [`run_virtual_with`]: one OS thread per
-/// rank, serialized by the run-queue baton. Kept as the reference
-/// engine for the cooperative/threaded parity tests; prefer
-/// [`run_virtual_with`] for real sweeps.
-pub fn run_virtual_with_threads(
-    machine: &Machine,
-    benchmark: Benchmark,
-    procs: usize,
-    bytes: u64,
-    runner: &Runner,
-) -> Record {
-    run_virtual_engine(machine, benchmark, procs, bytes, runner, false).0
-}
-
-/// Runs one benchmark under virtual time on the chosen engine and
-/// returns the record together with the per-rank final virtual clocks —
-/// the differential hook behind the cooperative/threaded parity tests.
+/// Runs one benchmark under virtual time and returns the record
+/// together with the per-rank final virtual clocks — the hook behind
+/// the golden-record test.
 pub fn run_virtual_clocked(
     machine: &Machine,
     benchmark: Benchmark,
     procs: usize,
     bytes: u64,
     runner: &Runner,
-    cooperative: bool,
-) -> (Record, Vec<simnet::Time>) {
-    run_virtual_engine(machine, benchmark, procs, bytes, runner, cooperative)
-}
-
-fn run_virtual_engine(
-    machine: &Machine,
-    benchmark: Benchmark,
-    procs: usize,
-    bytes: u64,
-    runner: &Runner,
-    coop: bool,
 ) -> (Record, Vec<simnet::Time>) {
     assert!(
         procs >= benchmark.min_procs(),
@@ -88,35 +63,20 @@ fn run_virtual_engine(
     let iters = runner.repetitions(benchmark.sized().then_some(bytes));
     let warmup = runner.warmup.max(1);
     let net = SharedClusterNet::new(machine, procs);
-    let (per_rank, clocks) = if coop {
-        mp::run_virtual_coop(procs, Box::new(net), move |comm| async move {
-            let mut state = crate::native::bench_state(&comm, benchmark, bytes);
-            // Warm-up pass(es), then align clocks and time the loop
-            // virtually.
-            for w in 0..warmup {
-                crate::native::bench_iterate_async(&mut state, &comm, w).await;
-            }
-            let t0 = comm.v_sync_async().await;
-            for it in 0..iters {
-                crate::native::bench_iterate_async(&mut state, &comm, it).await;
-            }
-            let t1 = comm.v_sync_async().await;
-            (t1 - t0).as_us() / iters as f64
-        })
-    } else {
-        mp::run_virtual(procs, Box::new(net), move |comm| {
-            let mut state = crate::native::bench_state(comm, benchmark, bytes);
-            for w in 0..warmup {
-                crate::native::bench_iterate(&mut state, comm, w);
-            }
-            let t0 = comm.v_sync();
-            for it in 0..iters {
-                crate::native::bench_iterate(&mut state, comm, it);
-            }
-            let t1 = comm.v_sync();
-            (t1 - t0).as_us() / iters as f64
-        })
-    };
+    let (per_rank, clocks) = mp::run_virtual_coop(procs, Box::new(net), move |comm| async move {
+        let mut state = BenchState::new(&comm, benchmark, bytes);
+        // Warm-up pass(es), then align clocks and time the loop
+        // virtually.
+        for w in 0..warmup {
+            state.iterate_async(&comm, w).await;
+        }
+        let t0 = comm.v_sync_async().await;
+        for it in 0..iters {
+            state.iterate_async(&comm, it).await;
+        }
+        let t1 = comm.v_sync_async().await;
+        (t1 - t0).as_us() / iters as f64
+    });
     let stats = Stats::across(&per_rank, iters);
     let rec = record(benchmark, Mode::Virtual, machine.name, procs, bytes, stats);
     (rec, clocks)

@@ -52,9 +52,9 @@ mod tests {
     #[test]
     fn real_program_runs_on_a_modelled_machine() {
         let net = SharedClusterNet::new(&dell_xeon(), 4);
-        let (results, clocks) = mp::run_virtual(4, Box::new(net), |comm| {
+        let (results, clocks) = mp::run_virtual_coop(4, Box::new(net), |comm| async move {
             let mut x = vec![comm.rank() as f64 + 1.0];
-            comm.allreduce(&mut x, mp::Op::Sum);
+            comm.allreduce_async(&mut x, mp::Op::Sum).await;
             x[0]
         });
         assert!(
@@ -68,10 +68,10 @@ mod tests {
     fn faster_machine_finishes_sooner() {
         let time_on = |m: &Machine| {
             let net = SharedClusterNet::new(m, 8);
-            let (_, clocks) = mp::run_virtual(8, Box::new(net), |comm| {
+            let (_, clocks) = mp::run_virtual_coop(8, Box::new(net), |comm| async move {
                 let mut x = vec![1.0f64; 131072]; // 1 MiB
-                comm.allreduce(&mut x, mp::Op::Sum);
-                comm.v_sync().as_us()
+                comm.allreduce_async(&mut x, mp::Op::Sum).await;
+                comm.v_sync_async().await.as_us()
             });
             clocks.iter().map(|c| c.as_us()).fold(0.0, f64::max)
         };
@@ -84,7 +84,7 @@ mod tests {
     fn compute_pricing_uses_the_node_model() {
         let m = dell_xeon();
         let net = SharedClusterNet::new(&m, 2);
-        let (_, clocks) = mp::run_virtual(2, Box::new(net), |comm| {
+        let (_, clocks) = mp::run_virtual_coop(2, Box::new(net), |comm| async move {
             if comm.rank() == 0 {
                 comm.v_compute(7.2e9, 1.0); // exactly 1 s at peak
             }

@@ -622,18 +622,7 @@ impl Comm {
                     return arc;
                 }
                 match &insp {
-                    None => {
-                        if let Some((baton, rank)) = crate::coop::current_baton() {
-                            // Baton-serialized virtual run: parking on the
-                            // condvar would wedge the single runner. Hand
-                            // the baton on and re-check after requeue.
-                            drop(map);
-                            baton.yield_now(rank);
-                            map = self.world.rendezvous.lock();
-                        } else {
-                            self.world.rendezvous_cv.wait(&mut map);
-                        }
-                    }
+                    None => self.world.rendezvous_cv.wait(&mut map),
                     Some(insp) => {
                         // Instrumented: publish the wait edge, park in
                         // short slices and honour a detector poison.

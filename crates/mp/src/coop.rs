@@ -2,35 +2,30 @@
 //!
 //! Host limits (pid_max, vm.max_map_count, per-thread stacks) cap the
 //! thread-per-rank runtime at a few thousand ranks; the paper-scale
-//! virtual sweeps need 16k–100k. This module supplies two engines that
-//! share one deterministic FIFO run-queue discipline:
+//! virtual sweeps need 16k–100k. The cooperative executor ([`run_coop`],
+//! [`run_virtual_coop`], [`run_checked_coop`], [`run_controlled_coop`])
+//! runs each rank body as an `async` future, polled on the caller's
+//! thread; every blocking receive ([`Mailbox::wait_ticket`](crate::mailbox)
+//! and friends) becomes a yield point. One OS thread hosts the whole
+//! world, so a 100k-rank virtual run is just 100k boxed futures.
 //!
-//! * the **cooperative executor** ([`run_coop`], [`run_traced_coop`],
-//!   [`run_virtual_coop`], [`run_checked_coop`]): each rank body is an
-//!   `async` future, polled on the caller's thread; every blocking
-//!   receive ([`Mailbox::wait_ticket`](crate::mailbox) and friends)
-//!   becomes a yield point. One OS thread hosts the whole world, so a
-//!   100k-rank virtual run is just 100k boxed futures.
-//! * the **baton engine** ([`Baton`]): the legacy thread-backed
-//!   `run_with_virtual` path keeps its real threads but serialises them
-//!   through the *same* FIFO queue — exactly one rank thread runs at a
-//!   time, handing the baton over at the same blocking points where a
-//!   cooperative task would yield. Both engines therefore produce the
-//!   same rank interleaving, which makes virtual clocks byte-identical
-//!   across them (the `simnet` first-fit reservation timelines are
-//!   order-dependent under contention, so schedule determinism is what
-//!   buys clock determinism).
+//! It is also the only virtual-time engine. Ranks are polled off one
+//! deterministic FIFO run queue, so messages reach the `simnet`
+//! first-fit reservation timelines in the same order on every run; those
+//! timelines are order-dependent under contention, so schedule
+//! determinism is what buys byte-identical virtual clocks. The
+//! workspace's golden-record test (`tests/golden_virtual_engine.rs`)
+//! pins records and per-rank clocks of every registry workload.
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
-//! in the run queue), *running* (being polled / holding the baton),
-//! *blocked* (pending on a receive, waker parked in the hand-off slot),
-//! *finished*. A blocked rank is woken by the sender that fills its
-//! hand-off slot; wakes push the rank id back onto the FIFO queue.
-//! Deadlock detection is *instant* in both engines — an empty queue with
-//! unfinished ranks is definitive, no wall-clock timeout needed — and
-//! composes with `mp::check`'s wait edges: a checked cooperative run
-//! calls [`check::diagnose`] at the stall and unwinds the blocked tasks
-//! with the cycle diagnosis.
+//! in the run queue), *running* (being polled), *blocked* (pending on a
+//! receive, waker parked in the hand-off slot), *finished*. A blocked
+//! rank is woken by the sender that fills its hand-off slot; wakes push
+//! the rank id back onto the FIFO queue. Deadlock detection is
+//! *instant* — an empty queue with unfinished ranks is definitive, no
+//! wall-clock timeout needed — and composes with `mp::check`'s wait
+//! edges: a checked cooperative run calls [`check::diagnose`] at the
+//! stall and unwinds the blocked tasks with the cycle diagnosis.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -39,8 +34,8 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::{Condvar, Mutex};
-use simnet::{Time, Transfer};
+use parking_lot::Mutex;
+use simnet::Time;
 
 use crate::check::{self, Checked, Event, RunLog, Settings};
 use crate::comm::Comm;
@@ -50,8 +45,6 @@ use crate::virt::VirtualNet;
 thread_local! {
     /// True while this thread is polling a cooperative task.
     static IN_COOP: Cell<bool> = const { Cell::new(false) };
-    /// The baton serialising this rank thread, if any (legacy virtual path).
-    static CURRENT_BATON: RefCell<Option<(Arc<Baton>, usize)>> = const { RefCell::new(None) };
     /// Ambient exploration configuration (see [`install_explore`]).
     static EXPLORE: RefCell<Option<ScopedExplore>> = const { RefCell::new(None) };
 }
@@ -182,12 +175,6 @@ pub(crate) fn in_coop() -> bool {
     IN_COOP.with(Cell::get)
 }
 
-/// The baton (and rank) installed on this thread, if it is a
-/// baton-serialised rank thread.
-pub(crate) fn current_baton() -> Option<(Arc<Baton>, usize)> {
-    CURRENT_BATON.with(|b| b.borrow().clone())
-}
-
 /// RAII: marks the current thread as polling a cooperative task. Also
 /// pins the ambient worker pool to size 1 for the duration: a
 /// cooperative world hosts up to 65k ranks on one OS thread, and a
@@ -214,25 +201,9 @@ impl Drop for CoopGuard {
     }
 }
 
-/// RAII: installs a baton + rank on the current thread.
-pub(crate) struct BatonGuard;
-
-impl BatonGuard {
-    pub fn install(baton: Arc<Baton>, rank: usize) -> BatonGuard {
-        CURRENT_BATON.with(|b| *b.borrow_mut() = Some((baton, rank)));
-        BatonGuard
-    }
-}
-
-impl Drop for BatonGuard {
-    fn drop(&mut self) {
-        CURRENT_BATON.with(|b| *b.borrow_mut() = None);
-    }
-}
-
 /// FIFO run queue of rank ids, shared by wakers and the engine draining
 /// it. Pushes coalesce: a rank already enqueued is not enqueued twice.
-pub(crate) struct RunQueue {
+struct RunQueue {
     state: Mutex<QueueState>,
 }
 
@@ -259,17 +230,10 @@ impl RunQueue {
         }
     }
 
-    fn pop(&self) -> Option<usize> {
-        let mut st = self.state.lock();
-        let rank = st.queue.pop_front()?;
-        st.enqueued[rank] = false;
-        Some(rank)
-    }
-
     /// Pops the next rank to poll. Finished ranks (stale wakes) are
     /// dropped first so a controller only ever chooses among live tasks;
     /// with no controller — or fewer than two live candidates — this is
-    /// exactly FIFO [`pop`](RunQueue::pop).
+    /// exactly FIFO.
     fn pop_controlled(
         &self,
         ctl: Option<&Arc<dyn ScheduleController>>,
@@ -344,9 +308,9 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 }
 
 /// Formats the instant-stall diagnosis of an uninstrumented cooperative
-/// or baton run: which ranks are blocked and what unmatched traffic the
-/// world still holds.
-pub(crate) fn stall_message(world: &World, blocked: &[usize]) -> String {
+/// run: which ranks are blocked and what unmatched traffic the world
+/// still holds.
+fn stall_message(world: &World, blocked: &[usize]) -> String {
     use std::fmt::Write;
     let mut msg = format!(
         "mp: deadlock: {} rank(s) blocked in receives with no runnable rank (ranks ",
@@ -586,37 +550,11 @@ where
     (results, clocks)
 }
 
-/// Cooperative mirror of [`crate::run_traced`]: returns per-rank results
-/// plus every point-to-point transfer in (deterministic) delivery order.
-pub fn run_traced_coop<R, F, Fut>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_traced_coop");
-    let world = Arc::new(World::new(n, true, None));
-    let (results, _) = execute(&world, &f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let trace = world
-        .trace
-        .map(Mutex::into_inner)
-        .expect("tracing was enabled");
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("uninstrumented cooperative runs panic on rank failure"))
-        .collect();
-    (results, trace)
-}
-
-/// Cooperative mirror of [`crate::run_virtual`]: runs `f` over `n` rank
-/// tasks with every message priced by `net`, and returns the per-rank
-/// results and final virtual clocks. Deterministic: the FIFO schedule
-/// fixes the order in which messages hit the simulated resource
-/// timelines, so clocks are byte-identical run to run (and identical to
-/// the baton-serialised thread-backed path).
+/// Virtual-time execution: runs `f` over `n` rank tasks with every
+/// message priced by `net`, and returns the per-rank results and final
+/// virtual clocks. Deterministic: the FIFO schedule fixes the order in
+/// which messages hit the simulated resource timelines, so clocks are
+/// byte-identical run to run.
 pub fn run_virtual_coop<R, F, Fut>(n: usize, net: Box<dyn VirtualNet>, f: F) -> (Vec<R>, Vec<Time>)
 where
     F: Fn(Comm) -> Fut,
@@ -758,220 +696,10 @@ where
     }
 }
 
-// ---------------------------------------------------------------------
-// Baton engine: serialise real rank threads onto the same FIFO schedule
-// ---------------------------------------------------------------------
-
-/// Unwind payload prefix of a baton teardown (stall or peer panic):
-/// the join loop filters these so only the real panic propagates.
-pub(crate) const TEARDOWN_MARK: &str = "mp: world torn down\n";
-
-/// Why a baton world is being torn down.
-enum BatonPoison {
-    /// No rank is runnable but some are unfinished (the message holds
-    /// the full stall diagnosis).
-    Stall(String),
-    /// A rank body panicked; peers unwind and the join loop reports it.
-    Abort,
-}
-
-/// Builds the stall diagnosis from the set of blocked ranks.
-pub(crate) type StallDiag = Box<dyn Fn(&[usize]) -> String + Send + Sync>;
-
-/// Serialises the rank threads of a thread-backed run through the
-/// cooperative FIFO schedule: exactly one thread runs at a time, and the
-/// baton changes hands at the blocking points where a cooperative task
-/// would yield. See the module docs for why this determinism matters.
-pub(crate) struct Baton {
-    queue: Arc<RunQueue>,
-    state: Mutex<BatonState>,
-    cv: Condvar,
-    /// Builds the stall diagnosis (captures the world for its mailbox
-    /// inventory); boxed so `runtime` can construct it without exposing
-    /// `World` here.
-    diag: StallDiag,
-}
-
-struct BatonState {
-    current: Option<usize>,
-    running: bool,
-    finished: Vec<bool>,
-    unfinished: usize,
-    poison: Option<BatonPoison>,
-}
-
-impl Baton {
-    /// A baton for `n` rank threads; all ranks start queued in rank
-    /// order. Call [`open`](Baton::open) once every thread is spawned.
-    pub fn new(n: usize, diag: StallDiag) -> Arc<Baton> {
-        let queue = RunQueue::new(n);
-        for rank in 0..n {
-            queue.push(rank);
-        }
-        Arc::new(Baton {
-            queue,
-            state: Mutex::new(BatonState {
-                current: None,
-                running: false,
-                finished: vec![false; n],
-                unfinished: n,
-                poison: None,
-            }),
-            cv: Condvar::new(),
-            diag,
-        })
-    }
-
-    /// Starts the world: grants the baton to the first queued rank.
-    pub fn open(&self) {
-        let mut st = self.state.lock();
-        st.running = true;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-    }
-
-    /// Parks the calling rank thread until it is granted the baton for
-    /// the first time. Unwinds with a teardown panic if the world is
-    /// poisoned before that happens.
-    pub fn wait_initial(&self, rank: usize) {
-        let mut st = self.state.lock();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.running && st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Gives up the baton (the rank is blocking on a receive) and parks
-    /// until re-granted — which happens only after this rank's waker has
-    /// pushed it back onto the queue, i.e. after its message arrived.
-    pub fn block_current(&self, rank: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.current, Some(rank), "only the running rank may block");
-        st.current = None;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Requeues the calling rank and hands the baton to the next queued
-    /// rank, parking until re-granted. Used by polling waits (rendezvous
-    /// storage) that have no waker hook.
-    pub fn yield_now(&self, rank: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.current, Some(rank), "only the running rank may yield");
-        self.queue.push(rank);
-        st.current = None;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Marks the calling rank finished and passes the baton on.
-    pub fn finish(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.current == Some(rank) {
-            st.current = None;
-        }
-        if !st.finished[rank] {
-            st.finished[rank] = true;
-            st.unfinished -= 1;
-        }
-        if st.unfinished > 0 {
-            self.grant_next(&mut st);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Marks the calling rank finished after a panic and poisons the
-    /// world so every parked peer unwinds. An existing stall poison is
-    /// preserved (teardown unwinds also land here via `catch_unwind`).
-    pub fn abort(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.current == Some(rank) {
-            st.current = None;
-        }
-        if !st.finished[rank] {
-            st.finished[rank] = true;
-            st.unfinished -= 1;
-        }
-        if st.poison.is_none() {
-            st.poison = Some(BatonPoison::Abort);
-        }
-        self.cv.notify_all();
-    }
-
-    /// A waker for `rank` that pushes it back onto this baton's queue.
-    pub fn waker_for(&self, rank: usize) -> Waker {
-        Waker::from(Arc::new(TaskWaker {
-            queue: Arc::clone(&self.queue),
-            rank,
-        }))
-    }
-
-    /// Takes the stall diagnosis, if the world stalled.
-    pub fn take_stall(&self) -> Option<String> {
-        match self.state.lock().poison.take() {
-            Some(BatonPoison::Stall(msg)) => Some(msg),
-            _ => None,
-        }
-    }
-
-    /// Grants the baton to the next queued unfinished rank; with an
-    /// empty queue and unfinished ranks, diagnoses the stall and poisons
-    /// the world (instant deadlock detection, same as the executor).
-    fn grant_next(&self, st: &mut BatonState) {
-        while let Some(next) = self.queue.pop() {
-            if !st.finished[next] {
-                st.current = Some(next);
-                return;
-            }
-        }
-        if st.unfinished > 0 && st.poison.is_none() {
-            let blocked: Vec<usize> = st
-                .finished
-                .iter()
-                .enumerate()
-                .filter(|(_, &done)| !done)
-                .map(|(r, _)| r)
-                .collect();
-            st.poison = Some(BatonPoison::Stall((self.diag)(&blocked)));
-        }
-    }
-}
-
-/// Unwinds the calling rank thread with a marked teardown panic.
-fn teardown_panic(st: &BatonState) -> ! {
-    let reason = match &st.poison {
-        Some(BatonPoison::Stall(msg)) => msg.clone(),
-        _ => "a peer rank panicked".to_string(),
-    };
-    panic!("{TEARDOWN_MARK}{reason}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::virt::tests::TestNet;
     use simnet::schedule::P2pCost;
 
     #[test]
@@ -994,26 +722,65 @@ mod tests {
         assert_eq!(out, expect);
     }
 
-    #[test]
-    #[should_panic(expected = "rank 2 panicked: boom")]
-    fn coop_rank_panic_propagates() {
-        run_coop(4, |comm| async move {
-            if comm.rank() == 2 {
-                panic!("boom");
+    /// Zero-cost pricing: every message arrives the instant it is sent.
+    struct FreeNet;
+
+    impl VirtualNet for FreeNet {
+        fn p2p(&self, _s: usize, _d: usize, _bytes: u64, ready: Time) -> P2pCost {
+            P2pCost {
+                sender_done: ready,
+                arrival: ready,
             }
-        });
+        }
+        fn compute(&self, _flops: f64, _eff: f64) -> Time {
+            Time::ZERO
+        }
+        fn stream(&self, _bytes: f64) -> Time {
+            Time::ZERO
+        }
+    }
+
+    /// Runs `f`, which must panic, and returns the panic message.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the run must panic");
+        panic_message(&*err).to_string()
     }
 
     #[test]
-    #[should_panic(expected = "mp: deadlock: 2 rank(s) blocked")]
+    fn coop_rank_panic_propagates() {
+        let body = |comm: Comm| async move {
+            if comm.rank() == 2 {
+                panic!("boom");
+            }
+        };
+        let plain = panic_text(|| {
+            run_coop(4, body);
+        });
+        assert!(plain.contains("rank 2 panicked: boom"), "{plain}");
+        let virt = panic_text(|| {
+            run_virtual_coop(4, Box::new(FreeNet), body);
+        });
+        assert!(virt.contains("rank 2 panicked: boom"), "{virt}");
+    }
+
+    #[test]
     fn coop_deadlock_is_detected_instantly() {
         // Both ranks receive, nobody sends: with threads this waits out
         // a 20 s timeout; the executor sees the empty run queue at once.
-        run_coop(2, |comm| async move {
+        let body = |comm: Comm| async move {
             let mut b = [0u8; 1];
             let from = comm.rank() ^ 1;
             comm.recv_async(&mut b, from, 1).await;
+        };
+        let plain = panic_text(|| {
+            run_coop(2, body);
         });
+        assert!(plain.contains("mp: deadlock: 2 rank(s) blocked"), "{plain}");
+        let virt = panic_text(|| {
+            run_virtual_coop(2, Box::new(FreeNet), body);
+        });
+        assert!(virt.contains("mp: deadlock: 2 rank(s) blocked"), "{virt}");
     }
 
     #[test]
@@ -1022,92 +789,6 @@ mod tests {
         run_coop(2, |comm| async move {
             comm.barrier();
         });
-    }
-
-    #[test]
-    fn traced_coop_matches_traced_threads() {
-        let (r_thread, mut t_thread) = crate::runtime::run_traced(4, |comm| {
-            let mut v = vec![0u64; 4];
-            comm.allgather(&[comm.rank() as u64 + 7], &mut v);
-            v
-        });
-        let (r_coop, mut t_coop) = run_traced_coop(4, |comm| async move {
-            let mut v = vec![0u64; 4];
-            comm.allgather_async(&[comm.rank() as u64 + 7], &mut v)
-                .await;
-            v
-        });
-        assert_eq!(r_thread, r_coop);
-        // Thread delivery order is nondeterministic; compare as multisets.
-        let key = |t: &Transfer| (t.src, t.dst, t.bytes);
-        t_thread.sort_by_key(key);
-        t_coop.sort_by_key(key);
-        assert_eq!(t_thread, t_coop);
-    }
-
-    /// Fixed-cost pricing for clock-parity tests (mirrors virt.rs).
-    struct TestNet;
-
-    impl VirtualNet for TestNet {
-        fn p2p(&self, _s: usize, _d: usize, bytes: u64, ready: Time) -> P2pCost {
-            let dur = Time::from_us(10.0) + Time::from_secs(bytes as f64 / 1e9);
-            P2pCost {
-                sender_done: ready + Time::from_us(1.0),
-                arrival: ready + dur,
-            }
-        }
-        fn compute(&self, flops: f64, eff: f64) -> Time {
-            Time::from_secs(flops / (1e9 * eff))
-        }
-        fn stream(&self, bytes: f64) -> Time {
-            Time::from_secs(bytes / 1e9)
-        }
-    }
-
-    #[test]
-    fn virtual_coop_ping_pong_accumulates_latency() {
-        let iters = 5;
-        let (_, clocks) = run_virtual_coop(2, Box::new(TestNet), move |comm| async move {
-            let me = comm.rank();
-            let buf = [0u8; 0];
-            for _ in 0..iters {
-                if me == 0 {
-                    comm.send(&buf, 1, 1);
-                    let mut r = [0u8; 0];
-                    comm.recv_async(&mut r, 1, 1).await;
-                } else {
-                    let mut r = [0u8; 0];
-                    comm.recv_async(&mut r, 0, 1).await;
-                    comm.send(&buf, 0, 1);
-                }
-            }
-        });
-        let expect = 2.0 * 10.0 * iters as f64;
-        assert!(
-            (clocks[0].as_us() - expect).abs() < 1e-6,
-            "clock {} vs {expect}",
-            clocks[0].as_us()
-        );
-    }
-
-    #[test]
-    fn virtual_coop_clocks_match_threaded_virtual() {
-        // Satellite: byte-identical clocks across the two engines.
-        let body_sync = |comm: &Comm| {
-            let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce(&mut x, crate::reduce::Op::Sum);
-            comm.v_sync();
-            x
-        };
-        let (r_thread, c_thread) = crate::virt::run_virtual(4, Box::new(TestNet), body_sync);
-        let (r_coop, c_coop) = run_virtual_coop(4, Box::new(TestNet), |comm| async move {
-            let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce_async(&mut x, crate::reduce::Op::Sum).await;
-            comm.v_sync_async().await;
-            x
-        });
-        assert_eq!(r_thread, r_coop);
-        assert_eq!(c_thread, c_coop, "virtual clocks must be byte-identical");
     }
 
     /// Tentpole parity pin: a run driven by the trivial [`FifoController`]

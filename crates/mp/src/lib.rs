@@ -8,6 +8,12 @@
 //! classical algorithm variants (binomial, recursive doubling/halving,
 //! ring, pairwise, Bruck, Rabenseifner).
 //!
+//! Virtual-time execution — real programs priced by a machine model
+//! ([`VirtualNet`]) — runs on one engine, the cooperative executor
+//! ([`run_virtual_coop`]): every rank is an `async` task polled on the
+//! caller's thread, so virtual worlds reach tens of thousands of ranks
+//! and their clocks are deterministic.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -44,9 +50,8 @@ pub mod virt;
 
 pub use comm::{Comm, RecvHandle};
 pub use coop::{
-    block_on, install_explore, run_checked_coop, run_controlled_coop, run_coop, run_traced_coop,
-    run_virtual_coop, ExploreGuard, FifoController, ScheduleController, ScopedExplore,
-    WildcardCandidate,
+    block_on, install_explore, run_checked_coop, run_controlled_coop, run_coop, run_virtual_coop,
+    ExploreGuard, FifoController, ScheduleController, ScopedExplore, WildcardCandidate,
 };
 pub use datatype::Word;
 pub use msg::{Tag, MAX_USER_TAG};
@@ -54,4 +59,4 @@ pub use reduce::{Numeric, Op};
 pub use rma::Window;
 pub use runtime::{run, run_traced};
 pub use transport::{Backend, Proc};
-pub use virt::{run_virtual, VirtualNet};
+pub use virt::VirtualNet;

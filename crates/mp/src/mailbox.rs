@@ -84,8 +84,8 @@ struct HandoffState {
     /// A rendezvous buffer returned unused (the message arrived through
     /// the eager path instead); the receiver recycles it.
     spare: Option<Vec<u8>>,
-    /// Waker of a cooperative task (or baton-serialised thread) blocked
-    /// on this slot; the sender takes and fires it on fill.
+    /// Waker of a cooperative task blocked on this slot; the sender
+    /// takes and fires it on fill.
     waker: Option<Waker>,
 }
 
@@ -494,9 +494,6 @@ impl Mailbox {
             !crate::coop::in_coop(),
             "mp: synchronous receive inside a cooperative task; use the async receive API"
         );
-        if let Some((baton, rank)) = crate::coop::current_baton() {
-            return self.wait_ticket_baton(ticket, filter, &baton, rank);
-        }
         let Ticket { id, slot } = ticket;
         if let Some(insp) = &self.inspector {
             insp.begin_wait(
@@ -570,35 +567,6 @@ impl Mailbox {
                 drop(inner);
                 st = slot.state.lock();
             }
-        }
-    }
-
-    /// Baton-serialised wait: instead of parking on the hand-off condvar
-    /// (which would wedge the whole serialised world — no other rank
-    /// thread may run until this one yields), install a queue waker and
-    /// hand the baton over. Re-granted only after a sender fills the
-    /// slot and fires the waker; no lost wakeup is possible because the
-    /// fill happens under the slot lock and no peer thread runs between
-    /// the waker install and the baton hand-over.
-    fn wait_ticket_baton(
-        &self,
-        ticket: Ticket,
-        filter: Match,
-        baton: &Arc<crate::coop::Baton>,
-        rank: usize,
-    ) -> (Message, Option<Vec<u8>>) {
-        let Ticket { id: _, slot } = ticket;
-        loop {
-            let mut st = slot.state.lock();
-            if let Some(arrived) = st.arrived.take() {
-                let spare = st.spare.take();
-                drop(st);
-                self.record_recv(&arrived, filter, 1);
-                return (arrived.msg, spare);
-            }
-            st.waker = Some(baton.waker_for(rank));
-            drop(st);
-            baton.block_current(rank);
         }
     }
 

@@ -60,7 +60,7 @@ fn rank_stack_bytes() -> usize {
 
 /// Extracts the human-readable message from a caught panic payload.
 /// The one helper behind every join path (native, traced, checked,
-/// virtual, cooperative), so no path drops the payload on the floor.
+/// cooperative), so no path drops the payload on the floor.
 pub(crate) fn panic_message(e: &(dyn Any + Send)) -> &str {
     e.downcast_ref::<String>()
         .map(String::as_str)
@@ -312,9 +312,11 @@ where
 }
 
 /// Like [`run`], but records every point-to-point message. Returns the
-/// per-rank results and the trace as a list of (src, dst, bytes) transfers
-/// in delivery order. Used to cross-validate the real collective
-/// implementations against their schedule generators.
+/// per-rank results and the trace as a list of (src, dst, bytes)
+/// transfers. The ranks are real threads, so the order of the trace
+/// varies run to run: compare traces as multisets (sort them first).
+/// Used to cross-validate the real collective implementations, under
+/// real thread interleavings, against their schedule generators.
 pub fn run_traced<R, F>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
 where
     R: Send,
@@ -323,125 +325,6 @@ where
     crate::transport::assert_no_session("run_traced");
     let (results, trace) = run_inner(n, true, f);
     (results, trace.expect("tracing was enabled"))
-}
-
-/// Virtual-execution entry point (see [`crate::virt::run_virtual`]).
-///
-/// The rank threads are serialised through a [`crate::coop::Baton`]: one
-/// thread runs at a time, handing over at every blocking receive, on the
-/// same FIFO schedule the cooperative executor uses. Message order into
-/// the simulated resource timelines is therefore deterministic, and the
-/// returned clocks are byte-identical run to run — and identical to
-/// [`crate::run_virtual_coop`] on the same program.
-pub(crate) fn run_with_virtual<R, F>(
-    n: usize,
-    net: Box<dyn VirtualNet>,
-    f: F,
-) -> (Vec<R>, Vec<Time>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_virtual");
-    let mut world = World::new(n, false, None);
-    world.virtual_net = Some(net);
-    world.virtual_clocks = (0..n).map(|_| Mutex::new(Time::ZERO)).collect();
-    let world = Arc::new(world);
-    let f = &f;
-    let diag_world = Arc::clone(&world);
-    let baton = crate::coop::Baton::new(
-        n,
-        Box::new(move |blocked: &[usize]| crate::coop::stall_message(&diag_world, blocked)),
-    );
-    let gate = StartGate::new();
-    let stack = rank_stack_bytes();
-    let mut first_panic: Option<(usize, String)> = None;
-    let mut results: Vec<Option<R>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let world = Arc::clone(&world);
-            let baton = Arc::clone(&baton);
-            let gate = &gate;
-            let spawned = std::thread::Builder::new()
-                .name(format!("mp-rank-{rank}"))
-                .stack_size(stack)
-                .spawn_scoped(scope, move || {
-                    if !gate.wait() {
-                        return None;
-                    }
-                    // Baton-serialised virtual worlds run one rank at a
-                    // time on purpose; a worker pool would oversubscribe
-                    // the host for no modelled benefit.
-                    let _pool = smp::AmbientGuard::serial();
-                    let _installed = crate::coop::BatonGuard::install(Arc::clone(&baton), rank);
-                    baton.wait_initial(rank);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        f(&Comm::world(world, rank))
-                    }));
-                    match &out {
-                        Ok(_) => baton.finish(rank),
-                        Err(_) => baton.abort(rank),
-                    }
-                    Some(out)
-                });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    gate.abort();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    spawn_failure(rank, n, stack, &e);
-                }
-            }
-        }
-        gate.open();
-        baton.open();
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Some(Ok(r))) => results[rank] = Some(r),
-                Ok(Some(Err(e))) => note_real_panic(rank, &*e, &mut first_panic),
-                Ok(None) => unreachable!("the gate opened, so every spawn succeeded"),
-                // A teardown unwind escaped before the catch (wait_initial).
-                Err(e) => note_real_panic(rank, &*e, &mut first_panic),
-            }
-        }
-        results
-    });
-    if let Some((rank, msg)) = first_panic {
-        panic!("rank {rank} panicked: {msg}");
-    }
-    if let Some(stall) = baton.take_stall() {
-        panic!("{stall}");
-    }
-    drop(baton);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank threads joined");
-    let clocks = world
-        .virtual_clocks
-        .into_iter()
-        .map(Mutex::into_inner)
-        .collect();
-    let results = results
-        .drain(..)
-        .map(|r| r.expect("no panic and no stall, so every rank completed"))
-        .collect();
-    (results, clocks)
-}
-
-/// Records the first *real* rank panic, skipping baton teardown unwinds
-/// (whose cause — a stall or a peer's panic — is reported separately).
-fn note_real_panic(rank: usize, e: &(dyn Any + Send), first: &mut Option<(usize, String)>) {
-    let msg = panic_message(e);
-    if msg.starts_with(crate::coop::TEARDOWN_MARK) {
-        return;
-    }
-    if first.is_none() {
-        *first = Some((rank, msg.to_string()));
-    }
 }
 
 fn run_inner<R, F>(n: usize, traced: bool, f: F) -> (Vec<R>, Option<Vec<Transfer>>)
@@ -779,58 +662,5 @@ mod tests {
             }
         }
         Restore
-    }
-
-    /// Satellite regression: virtual-mode rank panics must carry the
-    /// payload (the old join loop said only "rank 1 panicked").
-    #[test]
-    #[should_panic(expected = "rank 1 panicked: virtual boom")]
-    fn virtual_rank_panic_names_the_payload() {
-        struct FreeNet;
-        impl VirtualNet for FreeNet {
-            fn p2p(&self, _s: usize, _d: usize, _b: u64, ready: Time) -> simnet::schedule::P2pCost {
-                simnet::schedule::P2pCost {
-                    sender_done: ready,
-                    arrival: ready,
-                }
-            }
-            fn compute(&self, _f: f64, _e: f64) -> Time {
-                Time::ZERO
-            }
-            fn stream(&self, _b: f64) -> Time {
-                Time::ZERO
-            }
-        }
-        run_with_virtual(2, Box::new(FreeNet), |comm| {
-            if comm.rank() == 1 {
-                panic!("virtual boom");
-            }
-        });
-    }
-
-    /// The baton engine detects a virtual-mode deadlock instantly (no
-    /// 20 s timeout) and names the blocked ranks.
-    #[test]
-    #[should_panic(expected = "mp: deadlock: 2 rank(s) blocked")]
-    fn virtual_deadlock_is_detected_instantly() {
-        struct FreeNet;
-        impl VirtualNet for FreeNet {
-            fn p2p(&self, _s: usize, _d: usize, _b: u64, ready: Time) -> simnet::schedule::P2pCost {
-                simnet::schedule::P2pCost {
-                    sender_done: ready,
-                    arrival: ready,
-                }
-            }
-            fn compute(&self, _f: f64, _e: f64) -> Time {
-                Time::ZERO
-            }
-            fn stream(&self, _b: f64) -> Time {
-                Time::ZERO
-            }
-        }
-        run_with_virtual(2, Box::new(FreeNet), |comm| {
-            let mut b = [0u8; 1];
-            comm.recv(&mut b, comm.rank() ^ 1, 1);
-        });
     }
 }

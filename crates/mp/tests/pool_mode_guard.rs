@@ -1,6 +1,6 @@
 //! Regression tests for the hybrid-SMP pool mode guard: worker-pool
-//! sizing must follow the execution mode, and cooperative / virtual
-//! worlds must never fan out (a 4096-rank coop world spawning even one
+//! sizing must follow the execution mode, and cooperative worlds
+//! (virtual ones included) must never fan out (a 4096-rank coop world spawning even one
 //! worker per rank would oversubscribe the host by three orders of
 //! magnitude).
 
@@ -41,18 +41,6 @@ fn coop_world_pins_pool_to_one_at_4096_ranks() {
     assert!(sizes.iter().all(|&s| s == 1));
 }
 
-/// The baton-serialised virtual engine (legacy thread-backed path) gets
-/// the same serial guard.
-#[test]
-fn virtual_world_pins_pool_to_one() {
-    let machine = machines_stub();
-    let (sizes, _clocks) = mp::run_virtual(8, machine, |comm| {
-        let _ = comm.rank();
-        smp::Pool::current().size()
-    });
-    assert!(sizes.iter().all(|&s| s == 1), "{sizes:?}");
-}
-
 /// Native ranks share the host cores evenly: with `n` ranks on a host
 /// of `c` cores each rank gets `max(1, c / n)` workers (no
 /// oversubscription when every rank's pool fans out at once).
@@ -72,30 +60,4 @@ fn native_ranks_share_cores_evenly() {
             );
         }
     }
-}
-
-/// Zero-latency stand-in network: enough to drive the baton engine.
-fn machines_stub() -> Box<dyn mp::VirtualNet> {
-    struct Net;
-    impl mp::VirtualNet for Net {
-        fn p2p(
-            &self,
-            _src: usize,
-            _dst: usize,
-            _bytes: u64,
-            ready: simnet::Time,
-        ) -> simnet::schedule::P2pCost {
-            simnet::schedule::P2pCost {
-                sender_done: ready,
-                arrival: ready,
-            }
-        }
-        fn compute(&self, _flops: f64, _eff: f64) -> simnet::Time {
-            simnet::Time::ZERO
-        }
-        fn stream(&self, _bytes: f64) -> simnet::Time {
-            simnet::Time::ZERO
-        }
-    }
-    Box::new(Net)
 }

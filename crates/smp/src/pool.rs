@@ -21,9 +21,9 @@
 //!
 //! 1. the thread-local ambient installed by the runtime for this rank
 //!    ([`AmbientGuard::install`]) — the `mp` runtime installs
-//!    `cores / ranks` on native rank threads and **1** on cooperative /
-//!    baton-serialised worlds, so a 65k-rank virtual world never spawns
-//!    a single worker;
+//!    `cores / ranks` on native rank threads and **1** on cooperative
+//!    worlds (every virtual world is one), so a 65k-rank virtual world
+//!    never spawns a single worker;
 //! 2. the process-wide override ([`set_process_threads`], the bench
 //!    binaries' `--threads` flag);
 //! 3. the `HPCB_THREADS` environment variable;
