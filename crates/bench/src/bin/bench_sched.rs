@@ -165,10 +165,13 @@ fn main() {
         }
     }
 
-    let (world, ring_n, rounds, iters, reps, reserves) = if smoke {
-        (4096, 256, 50, 2_000, 2, 50_000)
+    // Both modes spawn a 65 536-rank world: a smaller one hides any
+    // per-switch cost that grows with the run queue's length.
+    let world = 65_536;
+    let (ring_n, rounds, iters, reps, reserves) = if smoke {
+        (256, 50, 2_000, 2, 50_000)
     } else {
-        (65_536, 1024, 200, 20_000, 3, 200_000)
+        (1024, 200, 20_000, 3, 200_000)
     };
 
     let mut sink = metrics::MetricSink::new("coop-sched");

@@ -14,8 +14,10 @@
 //! first-fit reservation timelines in the same order on every run; those
 //! timelines are order-dependent under contention, so schedule
 //! determinism is what buys byte-identical virtual clocks. The
-//! workspace's golden-record test (`tests/golden_virtual_engine.rs`)
-//! pins records and per-rank clocks of every registry workload.
+//! workspace's golden-record tests pin records and per-rank clocks of
+//! every registry workload at 4 ranks (`tests/golden_virtual_engine.rs`)
+//! and of the high-rank slice at 2 048 ranks, where the run queue grows
+//! long (`tests/golden_virtual_highrank.rs`).
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
 //! in the run queue), *running* (being polled), *blocked* (pending on a
@@ -202,14 +204,30 @@ impl Drop for CoopGuard {
 }
 
 /// FIFO run queue of rank ids, shared by wakers and the engine draining
-/// it. Pushes coalesce: a rank already enqueued is not enqueued twice.
+/// it. Pushes coalesce: a rank already enqueued is not enqueued twice,
+/// and a finished rank is never enqueued again. Every operation on the
+/// uncontrolled path is O(1): the cost of a context switch does not
+/// grow with the number of queued ranks.
 struct RunQueue {
     state: Mutex<QueueState>,
 }
 
+/// Where a rank stands with respect to the run queue.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Idle,
+    Queued,
+    Finished,
+}
+
 struct QueueState {
+    /// Ranks in wake order. An entry whose rank finished after it was
+    /// enqueued (a stale self-wake) is skipped when it reaches the front.
     queue: VecDeque<usize>,
-    enqueued: Vec<bool>,
+    slot: Vec<Slot>,
+    /// Entries read by FIFO pops: the cost the queue's regression test
+    /// pins (one read per entry, however long the queue).
+    touched: u64,
 }
 
 impl RunQueue {
@@ -217,55 +235,57 @@ impl RunQueue {
         Arc::new(RunQueue {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(n),
-                enqueued: vec![false; n],
+                slot: vec![Slot::Idle; n],
+                touched: 0,
             }),
         })
     }
 
     fn push(&self, rank: usize) {
         let mut st = self.state.lock();
-        if !st.enqueued[rank] {
-            st.enqueued[rank] = true;
+        if st.slot[rank] == Slot::Idle {
+            st.slot[rank] = Slot::Queued;
             st.queue.push_back(rank);
         }
     }
 
-    /// Pops the next rank to poll. Finished ranks (stale wakes) are
-    /// dropped first so a controller only ever chooses among live tasks;
-    /// with no controller — or fewer than two live candidates — this is
-    /// exactly FIFO.
-    fn pop_controlled(
-        &self,
-        ctl: Option<&Arc<dyn ScheduleController>>,
-        live: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
-        let mut st = self.state.lock();
-        let mut i = 0;
-        while i < st.queue.len() {
-            let r = st.queue[i];
-            if live(r) {
-                i += 1;
-            } else {
-                st.enqueued[r] = false;
-                st.queue.remove(i);
-            }
-        }
-        let idx = match ctl {
-            Some(ctl) if st.queue.len() >= 2 => {
-                let ready: Vec<usize> = st.queue.iter().copied().collect();
-                let pick = ctl.pick_ready(&ready);
+    /// Marks `rank` finished: a queued entry for it turns stale, and
+    /// later wakes are ignored.
+    fn finish(&self, rank: usize) {
+        self.state.lock().slot[rank] = Slot::Finished;
+    }
+
+    /// Pops the next unfinished rank to poll. With no controller — or
+    /// fewer than two candidates — this is FIFO; otherwise stale entries
+    /// are dropped first so the controller only ever chooses among live
+    /// tasks.
+    fn pop(&self, ctl: Option<&Arc<dyn ScheduleController>>) -> Option<usize> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        if let Some(ctl) = ctl {
+            let slot = &st.slot;
+            st.queue.retain(|&r| slot[r] == Slot::Queued);
+            if st.queue.len() >= 2 {
+                let ready = st.queue.make_contiguous();
+                let pick = ctl.pick_ready(ready);
                 assert!(
                     pick < ready.len(),
                     "controller ready pick {pick} out of range (ready set of {})",
                     ready.len()
                 );
-                pick
+                let rank = st.queue.remove(pick).expect("pick checked in range");
+                st.slot[rank] = Slot::Idle;
+                return Some(rank);
             }
-            _ => 0,
-        };
-        let rank = st.queue.remove(idx)?;
-        st.enqueued[rank] = false;
-        Some(rank)
+        }
+        while let Some(rank) = st.queue.pop_front() {
+            st.touched += 1;
+            if st.slot[rank] == Slot::Queued {
+                st.slot[rank] = Slot::Idle;
+                return Some(rank);
+            }
+        }
+        None
     }
 }
 
@@ -390,10 +410,10 @@ where
         // drained polls only unwind, so their order is not a schedule
         // decision an explorer should enumerate.
         let step_ctl = if poisoned_drain { None } else { ctl.as_ref() };
-        while let Some(rank) = queue.pop_controlled(step_ctl, &|r| tasks[r].is_some()) {
-            let Some(task) = tasks[rank].as_mut() else {
-                continue;
-            };
+        while let Some(rank) = queue.pop(step_ctl) {
+            let task = tasks[rank]
+                .as_mut()
+                .expect("the run queue holds only unfinished ranks");
             if let Some(ctl) = step_ctl {
                 ctl.note_step(rank);
             }
@@ -408,6 +428,7 @@ where
                 Ok(Poll::Pending) => {}
                 Ok(Poll::Ready(())) => {
                     tasks[rank] = None;
+                    queue.finish(rank);
                     remaining -= 1;
                     if let Some(insp) = &insp {
                         insp.finish(rank);
@@ -415,6 +436,7 @@ where
                 }
                 Err(e) => {
                     tasks[rank] = None;
+                    queue.finish(rank);
                     remaining -= 1;
                     let msg = panic_message(&*e).to_string();
                     match &insp {
@@ -883,6 +905,56 @@ mod tests {
         let cycle = deadlock.cycle.as_ref().expect("a 0 -> 1 -> 0 recv cycle");
         assert_eq!(cycle.len(), 2, "cycle: {cycle:?}");
         assert!(checked.panics.is_empty(), "poison unwinds are not panics");
+    }
+
+    /// The run queue's cost as a count, not a wall-clock bound: draining
+    /// a 65 536-entry queue in which every third rank finished while
+    /// enqueued reads each entry exactly once, returns the live ranks in
+    /// FIFO order and never returns a finished rank. A per-pop scan of
+    /// the queue would read ~n²/2 entries.
+    #[test]
+    fn run_queue_drain_is_fifo_and_linear() {
+        let n = 65_536;
+        let finished = |r: usize| r % 3 == 1;
+        let q = RunQueue::new(n);
+        for r in 0..n {
+            q.push(r);
+        }
+        for r in (0..n).filter(|&r| finished(r)) {
+            q.finish(r);
+        }
+        q.push(1); // a wake after finishing is ignored
+        let drained: Vec<usize> = std::iter::from_fn(|| q.pop(None)).collect();
+        let live: Vec<usize> = (0..n).filter(|&r| !finished(r)).collect();
+        assert_eq!(drained, live, "live ranks in FIFO order, no finished rank");
+        let st = q.state.lock();
+        assert_eq!(st.touched, n as u64, "entries touched == entries popped");
+    }
+
+    /// A controller is offered only unfinished ranks, in FIFO order.
+    #[test]
+    fn controller_never_sees_finished_ranks() {
+        struct PickLast(Mutex<Vec<Vec<usize>>>);
+        impl ScheduleController for PickLast {
+            fn pick_ready(&self, ready: &[usize]) -> usize {
+                self.0.lock().push(ready.to_vec());
+                ready.len() - 1
+            }
+            fn pick_wildcard(&self, _rank: usize, _candidates: &[WildcardCandidate]) -> usize {
+                0
+            }
+        }
+        let q = RunQueue::new(5);
+        for r in 0..5 {
+            q.push(r);
+        }
+        q.finish(1);
+        q.finish(4);
+        let last = Arc::new(PickLast(Mutex::new(Vec::new())));
+        let ctl: Arc<dyn ScheduleController> = Arc::clone(&last) as _;
+        let picks: Vec<usize> = std::iter::from_fn(|| q.pop(Some(&ctl))).collect();
+        assert_eq!(picks, vec![3, 2, 0]);
+        assert_eq!(*last.0.lock(), vec![vec![0, 2, 3], vec![0, 2]]);
     }
 
     #[test]
